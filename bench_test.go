@@ -23,7 +23,7 @@ import (
 	"partree/internal/criteria"
 	"partree/internal/dataset"
 	"partree/internal/experiments"
-	"partree/internal/flat"
+	"partree/internal/forest"
 	"partree/internal/kernel"
 	"partree/internal/mp"
 	"partree/internal/predict"
@@ -295,10 +295,11 @@ func BenchmarkHashSplit(b *testing.B) {
 
 // BenchmarkInference measures the serving path on a 100k-row batch and
 // records the inference perf trajectory: the pointer tree's per-row walk
-// (the pre-subsystem baseline), the flat compiled table walked per row
-// (locality win), and the batched parallel engine over all cores
+// (the pre-subsystem baseline and the differential oracle), the tree
+// compiled as a 1-tree fused forest and walked in row tiles on one
+// goroutine (locality), and the batched parallel engine over all cores
 // (locality + parallelism). rows_per_sec is the headline series; the
-// acceptance bar is flat-batch-parallel beating pointer-per-row.
+// acceptance bar is fused-batch-parallel beating pointer-per-row.
 func BenchmarkInference(b *testing.B) {
 	// Perturbation makes the concept imperfectly learnable, so growing to
 	// purity yields a production-sized tree (thousands of nodes) — deep
@@ -310,13 +311,13 @@ func BenchmarkInference(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := sprint.Build(d.Slice(0, 50000), tree.Options{Binary: true})
-	m, err := flat.Compile(tr)
+	fz, err := forest.Compile(&forest.Forest{Trees: []*tree.Tree{tr}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	pool := predict.NewPool(0)
 	defer pool.Close()
-	eng := predict.NewEngine(pool, m)
+	eng := predict.NewEngine(pool, fz)
 	out := make([]int32, d.Len())
 
 	report := func(b *testing.B) {
@@ -330,15 +331,13 @@ func BenchmarkInference(b *testing.B) {
 		}
 		report(b)
 	})
-	b.Run("flat-per-row", func(b *testing.B) {
+	b.Run("fused-batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for r := 0; r < d.Len(); r++ {
-				out[r] = m.Predict(d, r)
-			}
+			fz.PredictInto(d, out, 0, d.Len())
 		}
 		report(b)
 	})
-	b.Run("flat-batch-parallel", func(b *testing.B) {
+	b.Run("fused-batch-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := eng.PredictBatch(d, out); err != nil {
 				b.Fatal(err)

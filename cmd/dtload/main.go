@@ -14,10 +14,12 @@
 // Self-bench mode (-selfbench) needs no server: it trains forests of the
 // configured sizes in process, compiles them, and measures the fused
 // interleaved layout against the naive per-tree serving baseline (every
-// member walks the whole batch through its own flat model, votes in a
-// full row×class matrix) and against a single flat tree — the numbers
-// behind the fused-layout acceptance gates (≥5x naive at 100 trees,
-// within 10% of a single tree at 1 tree):
+// member walks the whole batch through the bounds-checked node walk,
+// votes in a full row×class matrix) and against the pointer walk of the
+// first member tree — the numbers behind the fused-layout acceptance
+// gates (≥5x naive at 100 trees, at least 0.9x the pointer walk at 1
+// tree). The host (GOMAXPROCS, NumCPU, Go version) is recorded with the
+// numbers:
 //
 //	dtload -selfbench -rows 100000 -trees 1,10,100 -o BENCH_serve.json
 //
@@ -34,6 +36,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,23 +117,26 @@ func parseInts(s string) []int {
 
 // selfConfig is one measured forest size in the "local" section.
 type selfConfig struct {
-	Trees              int     `json:"trees"`
-	MaxDepth           int     `json:"maxdepth"`
-	Builder            string  `json:"builder"`
-	FusedNodes         int     `json:"fused_nodes"`
-	FusedRowsPerSec    float64 `json:"fused_rows_per_sec"`
-	NaiveRowsPerSec    float64 `json:"naive_rows_per_sec"`
-	SingleRowsPerSec   float64 `json:"single_tree_rows_per_sec"`
-	SpeedupVsNaive     float64 `json:"speedup_fused_vs_naive"`
-	FusedVsSingleRatio float64 `json:"fused_vs_single_ratio"`
+	Trees               int     `json:"trees"`
+	MaxDepth            int     `json:"maxdepth"`
+	Builder             string  `json:"builder"`
+	FusedNodes          int     `json:"fused_nodes"`
+	FusedRowsPerSec     float64 `json:"fused_rows_per_sec"`
+	NaiveRowsPerSec     float64 `json:"naive_rows_per_sec"`
+	PointerRowsPerSec   float64 `json:"pointer_tree_rows_per_sec"`
+	SpeedupVsNaive      float64 `json:"speedup_fused_vs_naive"`
+	FusedVsPointerRatio float64 `json:"fused_vs_pointer_ratio"`
 }
 
 type selfResult struct {
-	BatchRows int          `json:"batch_rows"`
-	TrainRows int          `json:"train_rows"`
-	Function  int          `json:"function"`
-	Seed      uint64       `json:"seed"`
-	Configs   []selfConfig `json:"configs"`
+	BatchRows  int          `json:"batch_rows"`
+	TrainRows  int          `json:"train_rows"`
+	Function   int          `json:"function"`
+	Seed       uint64       `json:"seed"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"num_cpu"`
+	GoVersion  string       `json:"go_version"`
+	Configs    []selfConfig `json:"configs"`
 }
 
 func runSelfBench(rows, trainRows int, sizes []int, maxDepth int, builder string, fn int, seed uint64, minTime time.Duration) (*selfResult, error) {
@@ -142,7 +148,10 @@ func runSelfBench(rows, trainRows int, sizes []int, maxDepth int, builder string
 	if err != nil {
 		return nil, err
 	}
-	res := &selfResult{BatchRows: rows, TrainRows: trainRows, Function: fn, Seed: seed}
+	res := &selfResult{
+		BatchRows: rows, TrainRows: trainRows, Function: fn, Seed: seed,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(),
+	}
 	out := make([]int32, rows)
 	for _, trees := range sizes {
 		f, err := forest.Train(train, forest.Config{
@@ -159,24 +168,28 @@ func runSelfBench(rows, trainRows int, sizes []int, maxDepth int, builder string
 		if err != nil {
 			return nil, err
 		}
-		single := fz.Members[0]
+		member := f.Trees[0]
 		fused := measure(minTime, rows, func() { fz.PredictInto(batch, out, 0, rows) })
 		naive := measure(minTime, rows, func() { fz.PredictNaiveInto(batch, out, 0, rows) })
-		singleRate := measure(minTime, rows, func() { single.PredictInto(batch, out, 0, rows) })
+		pointer := measure(minTime, rows, func() {
+			for r := range out {
+				out[r] = member.ClassifyRow(batch, r)
+			}
+		})
 		cfg := selfConfig{
-			Trees:              trees,
-			MaxDepth:           maxDepth,
-			Builder:            builder,
-			FusedNodes:         fz.Nodes(),
-			FusedRowsPerSec:    fused,
-			NaiveRowsPerSec:    naive,
-			SingleRowsPerSec:   singleRate,
-			SpeedupVsNaive:     fused / naive,
-			FusedVsSingleRatio: fused / singleRate,
+			Trees:               trees,
+			MaxDepth:            maxDepth,
+			Builder:             builder,
+			FusedNodes:          fz.Nodes(),
+			FusedRowsPerSec:     fused,
+			NaiveRowsPerSec:     naive,
+			PointerRowsPerSec:   pointer,
+			SpeedupVsNaive:      fused / naive,
+			FusedVsPointerRatio: fused / pointer,
 		}
 		res.Configs = append(res.Configs, cfg)
-		fmt.Printf("trees=%-4d nodes=%-7d fused %.0f rows/s  naive %.0f rows/s  single %.0f rows/s  speedup %.2fx  vs-single %.3f\n",
-			trees, cfg.FusedNodes, fused, naive, singleRate, cfg.SpeedupVsNaive, cfg.FusedVsSingleRatio)
+		fmt.Printf("trees=%-4d nodes=%-7d fused %.0f rows/s  naive %.0f rows/s  pointer %.0f rows/s  speedup %.2fx  vs-pointer %.3f\n",
+			trees, cfg.FusedNodes, fused, naive, pointer, cfg.SpeedupVsNaive, cfg.FusedVsPointerRatio)
 	}
 	return res, nil
 }

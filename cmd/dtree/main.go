@@ -16,7 +16,7 @@
 // feature subspaces (-feature-frac), majority or accuracy-weighted
 // voting — using -algo as the member builder (any formulation,
 // including scalparc and vertical). The ensemble is evaluated through
-// the fused flat-forest serving layout and saved with -save as a
+// the fused forest serving layout and saved with -save as a
 // forest-JSON file dtserve can load.
 //
 // Examples:
@@ -40,11 +40,9 @@ import (
 	"partree/internal/dataset"
 	"partree/internal/discretize"
 	"partree/internal/fault"
-	"partree/internal/flat"
 	"partree/internal/forest"
 	"partree/internal/kernel"
 	"partree/internal/mp"
-	"partree/internal/predict"
 	"partree/internal/quest"
 	"partree/internal/serve"
 	"partree/internal/sliq"
@@ -78,7 +76,6 @@ func main() {
 		sparse    = flag.Float64("sparse", kernel.DefaultSparseThreshold, "density threshold for sparse reduction encoding (with -reuse; 0 keeps reductions dense)")
 		stats     = flag.Bool("stats", false, "print the per-phase × per-collective modeled-cost breakdown (parallel algorithms)")
 		traceOut  = flag.String("trace", "", "write the modeled per-rank event timeline as JSONL to this file (parallel algorithms)")
-		useFlat   = flag.Bool("flat", false, "evaluate through the compiled flat tree and the batched parallel engine")
 		faultSpec = flag.String("fault", "", "inject a fault (parallel algorithms): crash:RANK:OP | delay:RANK:OP:SECONDS | drop:RANK:SEND | halt:OP | torn:RANK:SAVE | bitflip:RANK:SAVE:BIT | random:SEED")
 		recoverFT = flag.Bool("recover", false, "checkpoint at level/partition boundaries and recover from injected faults (parallel algorithms)")
 		ckptDir   = flag.String("ckpt-dir", "", "durable checkpoint directory (implies -recover); survives the process for -resume")
@@ -170,13 +167,9 @@ func main() {
 	fmt.Printf("algorithm      %s\n", *algo)
 	fmt.Printf("training cases %d\n", train.Len())
 	fmt.Printf("tree           %d nodes, %d leaves, depth %d\n", st.Nodes, st.Leaves, st.MaxDepth)
-	eval := accuracyOn
-	if *useFlat {
-		eval = flatEvaluator(t)
-	}
-	fmt.Printf("train accuracy %.4f\n", eval(t, train))
+	fmt.Printf("train accuracy %.4f\n", accuracyOn(t, train))
 	if test.Len() > 0 {
-		fmt.Printf("test accuracy  %.4f (holdout %d)\n", eval(t, test), test.Len())
+		fmt.Printf("test accuracy  %.4f (holdout %d)\n", accuracyOn(t, test), test.Len())
 	}
 	if *printTree {
 		fmt.Print(t.String())
@@ -239,7 +232,7 @@ type forestRun struct {
 // runForest trains, evaluates and optionally saves a bagged ensemble.
 // Any builder can grow members (the multi-rank formulations run their
 // modeled worlds per member); evaluation routes through the fused
-// flat-forest layout — the serving path.
+// forest layout — the serving path.
 func runForest(r forestRun, train, test *dataset.Dataset) {
 	cfg := forest.Config{
 		Trees:           r.trees,
@@ -358,47 +351,6 @@ func accuracyOn(t *tree.Tree, d *dataset.Dataset) float64 {
 	}
 	recoded := discretize.UniformPaper(d, quest.PaperBins(), quest.Ranges())
 	return t.Accuracy(recoded)
-}
-
-// flatEvaluator compiles the tree once and returns an accuracy function
-// that routes every dataset through the batched parallel engine (the
-// serving path), printing the compiled shape and per-batch throughput.
-func flatEvaluator(t *tree.Tree) func(*tree.Tree, *dataset.Dataset) float64 {
-	m, err := flat.Compile(t)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtree:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("flat tree      %d nodes compiled (%d leaves)\n", m.Len(), m.Leaves())
-	pool := predict.NewPool(0)
-	eng := predict.NewEngine(pool, m)
-	return func(_ *tree.Tree, d *dataset.Dataset) float64 {
-		if t.Schema.NumContinuous() != d.Schema.NumContinuous() {
-			d = discretize.UniformPaper(d, quest.PaperBins(), quest.Ranges())
-		}
-		out := make([]int32, d.Len())
-		before := eng.Stats()
-		if err := eng.PredictBatch(d, out); err != nil {
-			fmt.Fprintln(os.Stderr, "dtree:", err)
-			os.Exit(1)
-		}
-		after := eng.Stats()
-		ok := 0
-		for i, c := range out {
-			if c == d.Class[i] {
-				ok++
-			}
-		}
-		ms := float64(after.WallNS-before.WallNS) / 1e6
-		if ms > 0 {
-			fmt.Printf("flat batch     %d rows in %.2fms (%.0f rows/s)\n",
-				d.Len(), ms, float64(d.Len())/(ms/1e3))
-		}
-		if d.Len() == 0 {
-			return 0
-		}
-		return float64(ok) / float64(d.Len())
-	}
 }
 
 func load(path string, n, fn int, seed uint64, attrs int) (*dataset.Dataset, error) {

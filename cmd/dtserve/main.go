@@ -1,11 +1,11 @@
 // Command dtserve serves trained decision-tree and forest models over
-// HTTP. It loads tree-JSON model files written by dtree -save (compiled
-// into the flat struct-of-arrays form, internal/flat) and forest-JSON
-// ensembles written by dtree -forest N -save (compiled into the fused
-// interleaved layout, internal/forest), and answers batched prediction
-// requests through the parallel engine (internal/predict). Models can be
-// hot-swapped under live traffic with PUT /v1/models/NAME;
-// SIGINT/SIGTERM drain in-flight requests before exit.
+// HTTP. It loads tree-JSON model files written by dtree -save and
+// forest-JSON ensembles written by dtree -forest N -save, compiles both
+// into the fused struct-of-arrays layout of internal/forest (a tree as a
+// 1-tree forest), and answers batched prediction requests through the
+// parallel engine (internal/predict). Models can be hot-swapped under
+// live traffic with PUT /v1/models/NAME; SIGINT/SIGTERM drain in-flight
+// requests before exit.
 //
 // Example:
 //
@@ -97,8 +97,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dtserve: model %q degraded, serving without it: %v\n", name, err)
 			srv.Registry().SetDegraded(name, err.Error())
 		} else {
-			fmt.Printf("loaded %s %q from %s (%d trees, %d flat nodes, %d leaves)\n",
-				e.Kind(), e.Name, path, e.Trees(), e.Nodes(), e.Leaves())
+			fmt.Printf("loaded %s %q from %s (%d trees, %d nodes, %d leaves)\n",
+				e.Kind, e.Name, path, e.Model.Trees(), e.Model.Nodes(), e.Model.Leaves())
 		}
 	}
 

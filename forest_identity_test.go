@@ -1,18 +1,16 @@
 // Differential identity tests for the forest subsystem's serving
-// contract: a 1-tree forest fused through the flat-forest layout must
-// predict bit-identically to its member's plain flat.Model under every
+// contract: a 1-tree forest compiled to the fused layout must
+// predict bit-identically to its member's pointer walk under every
 // member builder, and the fused batch walk must vote row-for-row like
-// member-by-member aggregation over the per-tree models on a batch
-// large enough to cross many vote tiles. These are the acceptance
-// gates for the fused serving path: the interleaved layout, the
-// level-synchronous step walk and its integer-key encoding must be
-// unobservable next to the reference walks.
+// member-by-member aggregation on a batch large enough to cross many
+// vote tiles. These are the acceptance gates for the fused serving path:
+// the interleaved layout, the level-synchronous step walk and its
+// integer-key encoding must be unobservable next to the reference walks.
 package partree_test
 
 import (
 	"testing"
 
-	"partree/internal/flat"
 	"partree/internal/forest"
 	"partree/internal/quest"
 	"partree/internal/tree"
@@ -20,7 +18,7 @@ import (
 
 // TestForestSingleTreeIdentityAllBuilders trains a 1-tree bagged forest
 // with every member builder the registry knows and checks the fused
-// prediction of every row against the member model compiled alone.
+// prediction of every row against the member's pointer walk.
 func TestForestSingleTreeIdentityAllBuilders(t *testing.T) {
 	train, err := quest.Generate(quest.Config{Function: 2, Seed: 31}, 1200)
 	if err != nil {
@@ -43,24 +41,15 @@ func TestForestSingleTreeIdentityAllBuilders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := flat.Compile(f.Trees[0])
-			if err != nil {
-				t.Fatal(err)
-			}
 			fz, err := forest.Compile(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fz.Nodes() != m.Len() {
-				t.Fatalf("fused table has %d nodes, member model %d", fz.Nodes(), m.Len())
-			}
 			fused := make([]int32, test.Len())
-			want := make([]int32, test.Len())
 			fz.PredictInto(test, fused, 0, test.Len())
-			m.PredictInto(test, want, 0, test.Len())
 			for r := range fused {
-				if fused[r] != want[r] {
-					t.Fatalf("row %d: fused=%d flat=%d", r, fused[r], want[r])
+				if want := f.Trees[0].ClassifyRow(test, r); fused[r] != want {
+					t.Fatalf("row %d: fused=%d pointer walk=%d", r, fused[r], want)
 				}
 			}
 		})

@@ -7,20 +7,26 @@ import (
 
 	"partree/internal/criteria"
 	"partree/internal/dataset"
-	"partree/internal/flat"
 	"partree/internal/tree"
 )
 
-// Fused is the compiled serving form of a forest: every member's flat
-// node table merged into one set of struct-of-arrays slices, laid out
-// level-major ACROSS trees — all roots first (member t's root is node t),
-// then every member's depth-1 nodes, and so on. The interleaving matters:
-// batched prediction walks all trees for a tile of rows, so the active
-// working set at any moment is one cross-tree level band plus the tile's
-// column segments, not T disjoint tables. Child indexes are absolute
-// (ChildBase[i] already includes the member's offset) and leaves carry
-// ChildBase -1, so the walk needs no per-tree base register and leaf
-// detection is one sign test instead of a kind switch.
+// Fused is the compiled serving form of a forest — and of a single tree,
+// which compiles as a 1-tree forest. Every member's pointer tree becomes
+// one struct-of-arrays node table, laid out level-major ACROSS trees:
+// all roots first (member t's root is node t), then every member's
+// depth-1 nodes, and so on. The interleaving matters: batched prediction
+// walks all trees for a tile of rows, so the active working set at any
+// moment is one cross-tree level band plus the tile's column segments,
+// not T disjoint tables. Child indexes are absolute and children of one
+// node are contiguous (one base + offset instead of a pointer load);
+// leaves carry ChildBase -1, so the walk needs no per-tree base register
+// and leaf detection is one sign test instead of a kind switch.
+//
+// Compilation resolves Case 3 of Hunt's method (an empty branch takes the
+// nearest ancestor's majority class) ahead of time: nil children become
+// synthesized leaves, and every node's Class slot is the class the
+// pointer walk (tree.Classify) would return if routing stopped there, so
+// prediction never looks back up the tree.
 //
 // Votes accumulate per row in ascending member order in every path —
 // fused, naive, integer or weighted — so fused prediction is
@@ -28,24 +34,23 @@ import (
 // contract), including float-sum order for weighted forests.
 type Fused struct {
 	Schema *dataset.Schema
-	// Members keeps the per-tree compiled models; PredictNaiveInto — the
-	// reference (and baseline) path — routes through them.
-	Members []*flat.Model
 	// Weights is nil for majority voting, per-member for weighted.
 	Weights []float64
 
 	Roots []int32 // fused index of member t's root (== t by layout)
 
 	Kind      []tree.SplitKind
-	Attr      []int32
-	Thresh    []float64
-	Mask      []uint64
-	ChildBase []int32 // absolute first-child index; -1 for leaves
-	NumChild  []int32
-	Class     []int32
-	EdgeBase  []int32
-	EdgeLen   []int32
-	Edges     []float64
+	Attr      []int32   // attribute tested (internal nodes), -1 for leaves
+	Thresh    []float64 // ContBinary threshold
+	Mask      []uint64  // CatBinary / binary ContBinned left-subset mask
+	ChildBase []int32   // absolute first-child index; -1 for leaves
+	NumChild  []int32   // 0 for leaves
+	Class     []int32   // fallback-resolved prediction class
+	// ContBinned bin boundaries, concatenated; node i's edges are
+	// Edges[EdgeBase[i] : EdgeBase[i]+EdgeLen[i]].
+	EdgeBase []int32
+	EdgeLen  []int32
+	Edges    []float64
 
 	// fast is true when stepWalkable verified the table: only leaves and
 	// binary tests (ContBinary/CatBinary), every child and attribute
@@ -132,118 +137,111 @@ func (f *Fused) Leaves() int {
 	return n
 }
 
-// Compile flattens a trained forest: each member through flat.Compile,
-// then the members through CompileFlat.
+// Compile flattens a trained forest into the fused layout; a single tree
+// t compiles as Compile(&Forest{Trees: []*tree.Tree{t}}). Weights nil
+// selects majority voting; otherwise there is one weight per member.
+// Members must share a compatible schema (same attribute count and
+// kinds, same class count); the forest reader guarantees full schema
+// equality. Malformed nodes — an attribute outside the schema, or a
+// child count the split kind does not imply — are rejected.
 func Compile(f *Forest) (*Fused, error) {
 	if f == nil || len(f.Trees) == 0 {
 		return nil, fmt.Errorf("forest: compiling an empty forest")
 	}
-	models := make([]*flat.Model, len(f.Trees))
+	if f.Weights != nil && len(f.Weights) != len(f.Trees) {
+		return nil, fmt.Errorf("forest: %d weights for %d members", len(f.Weights), len(f.Trees))
+	}
 	for i, t := range f.Trees {
-		m, err := flat.Compile(t)
-		if err != nil {
+		if t == nil || t.Root == nil || t.Schema == nil {
+			return nil, fmt.Errorf("forest: member %d: nil tree or schema", i)
+		}
+		if err := compatibleSchemas(f.Trees[0].Schema, t.Schema); err != nil {
 			return nil, fmt.Errorf("forest: member %d: %w", i, err)
 		}
-		models[i] = m
 	}
-	return CompileFlat(models, f.Weights)
-}
-
-// CompileFlat fuses already-compiled member models into the interleaved
-// layout. weights nil selects majority voting; otherwise len(weights)
-// must equal len(models). Every member must be compiled under a
-// compatible schema (same attribute count and kinds, same class count);
-// the forest reader guarantees full schema equality.
-func CompileFlat(models []*flat.Model, weights []float64) (*Fused, error) {
-	if len(models) == 0 {
-		return nil, fmt.Errorf("forest: fusing zero models")
-	}
-	if weights != nil && len(weights) != len(models) {
-		return nil, fmt.Errorf("forest: %d weights for %d members", len(weights), len(models))
-	}
-	s := models[0].Schema
-	total := 0
-	for i, m := range models {
-		if err := compatibleSchemas(s, m.Schema); err != nil {
-			return nil, fmt.Errorf("forest: member %d: %w", i, err)
-		}
-		total += m.Len()
-	}
-	f := &Fused{
-		Schema:    s,
-		Members:   models,
-		Weights:   weights,
-		Roots:     make([]int32, len(models)),
-		Kind:      make([]tree.SplitKind, 0, total),
-		Attr:      make([]int32, 0, total),
-		Thresh:    make([]float64, 0, total),
-		Mask:      make([]uint64, 0, total),
-		ChildBase: make([]int32, 0, total),
-		NumChild:  make([]int32, 0, total),
-		Class:     make([]int32, 0, total),
-		EdgeBase:  make([]int32, 0, total),
-		EdgeLen:   make([]int32, 0, total),
+	fz := &Fused{
+		Schema:  f.Trees[0].Schema,
+		Weights: f.Weights,
+		Roots:   make([]int32, len(f.Trees)),
+		Depths:  make([]int32, len(f.Trees)),
 	}
 
 	// Breadth-first emission over ALL trees at once: the queue starts
 	// with every root, so fused order is level-major across members and
 	// children of one node stay contiguous. Emission order equals queue
 	// order, so the node being expanded at queue position q sits at fused
-	// index q.
+	// index q. Each entry carries the class in force when the walk
+	// reaches it — its parent's resolved class — which a node with no
+	// training cases (or a nil child) inherits.
 	type ref struct {
-		t int
-		i int32
+		src      *tree.Node
+		fallback int32
+		member   int32
+		depth    int32
 	}
-	queue := make([]ref, 0, total)
-	depths := make([]int32, 0, total)
-	emit := func(r ref) {
-		m := models[r.t]
-		i := r.i
-		f.Kind = append(f.Kind, m.Kind[i])
-		f.Attr = append(f.Attr, m.Attr[i])
-		f.Thresh = append(f.Thresh, m.Thresh[i])
-		f.Mask = append(f.Mask, m.Mask[i])
-		f.ChildBase = append(f.ChildBase, -1)
-		f.NumChild = append(f.NumChild, m.NumChild[i])
-		f.Class = append(f.Class, m.Class[i])
-		f.EdgeBase = append(f.EdgeBase, int32(len(f.Edges)))
-		f.EdgeLen = append(f.EdgeLen, m.EdgeLen[i])
-		if n := m.EdgeLen[i]; n > 0 {
-			f.Edges = append(f.Edges, m.Edges[m.EdgeBase[i]:m.EdgeBase[i]+n]...)
+	var queue []ref
+	attrs := fz.Schema.NumAttrs()
+	emit := func(r ref) error {
+		n := r.src
+		class := r.fallback
+		if n != nil && n.N > 0 {
+			class = n.Class
 		}
 		queue = append(queue, r)
+		if d := &fz.Depths[r.member]; r.depth > *d {
+			*d = r.depth
+		}
+		fz.ChildBase = append(fz.ChildBase, -1)
+		fz.Class = append(fz.Class, class)
+		fz.EdgeBase = append(fz.EdgeBase, int32(len(fz.Edges)))
+		if n == nil || n.IsLeaf() {
+			fz.Kind = append(fz.Kind, tree.Leaf)
+			fz.Attr = append(fz.Attr, -1)
+			fz.Thresh = append(fz.Thresh, 0)
+			fz.Mask = append(fz.Mask, 0)
+			fz.NumChild = append(fz.NumChild, 0)
+			fz.EdgeLen = append(fz.EdgeLen, 0)
+			return nil
+		}
+		if n.Attr < 0 || n.Attr >= attrs {
+			return fmt.Errorf("forest: member %d: node attribute %d out of schema range", r.member, n.Attr)
+		}
+		if k := n.NumChildren(); k != len(n.Children) {
+			return fmt.Errorf("forest: member %d: %v node has %d children, kind implies %d", r.member, n.Kind, len(n.Children), k)
+		}
+		fz.Kind = append(fz.Kind, n.Kind)
+		fz.Attr = append(fz.Attr, int32(n.Attr))
+		fz.Thresh = append(fz.Thresh, n.Thresh)
+		fz.Mask = append(fz.Mask, n.Mask)
+		fz.NumChild = append(fz.NumChild, int32(len(n.Children)))
+		fz.EdgeLen = append(fz.EdgeLen, int32(len(n.Edges)))
+		fz.Edges = append(fz.Edges, n.Edges...)
+		return nil
 	}
-	for t := range models {
-		f.Roots[t] = int32(len(f.Kind))
-		emit(ref{t: t, i: 0})
-		depths = append(depths, 0)
+	for t, tr := range f.Trees {
+		fz.Roots[t] = int32(t)
+		if err := emit(ref{src: tr.Root, fallback: tr.Root.Class, member: int32(t)}); err != nil {
+			return nil, err
+		}
 	}
 	for q := 0; q < len(queue); q++ {
-		if f.Kind[q] == tree.Leaf {
+		if fz.Kind[q] == tree.Leaf {
 			continue
 		}
 		r := queue[q]
-		m := models[r.t]
-		f.ChildBase[q] = int32(len(f.Kind))
-		cb := m.ChildBase[r.i]
-		for c := int32(0); c < m.NumChild[r.i]; c++ {
-			emit(ref{t: r.t, i: cb + c})
-			depths = append(depths, depths[q]+1)
+		fz.ChildBase[q] = int32(len(fz.Kind))
+		for _, c := range r.src.Children {
+			if err := emit(ref{src: c, fallback: fz.Class[q], member: r.member, depth: r.depth + 1}); err != nil {
+				return nil, err
+			}
 		}
 	}
 
-	f.Depths = make([]int32, len(models))
-	for q := range queue {
-		if t := queue[q].t; depths[q] > f.Depths[t] {
-			f.Depths[t] = depths[q]
-		}
+	fz.fast = stepWalkable(fz)
+	if fz.fast {
+		fz.buildStepArrays()
 	}
-
-	f.fast = stepWalkable(f)
-	if f.fast {
-		f.buildStepArrays()
-	}
-	return f, nil
+	return fz, nil
 }
 
 // stepWalkable reports whether the fused table qualifies for the
@@ -345,9 +343,12 @@ func compatibleSchemas(want, got *dataset.Schema) error {
 	return nil
 }
 
-// classOf walks row r from the fused node root to its vote, mirroring
-// flat.Model.Predict decision for decision (including the CatMultiway
-// out-of-range fallback to the current node's resolved class).
+// classOf walks row r from fused node i (a member root) to its vote with
+// the generic bounds-checked walk, deciding exactly as tree.ClassifyRow
+// does. The split kind statically selects the column family read, binary
+// kinds need no child-range check (compilation laid out exactly two
+// children), and only CatMultiway can route out of range — to the
+// current node's resolved class, as the pointer walk does.
 func (f *Fused) classOf(d *dataset.Dataset, r int, i int32) int32 {
 	for {
 		switch f.Kind[i] {
@@ -571,9 +572,9 @@ func (f *Fused) predictWeighted(d *dataset.Dataset, out []int32, lo, hi int) {
 }
 
 // PredictNaiveInto classifies rows [lo, hi) the way a forest without the
-// fused layout would: member by member over the whole batch through the
-// per-tree flat models, votes accumulated in a full row×class block. It
-// is both the differential reference (bit-identical votes by
+// fused layout would: member by member over the whole batch, each member
+// root walked through classOf, votes accumulated in a full row×class
+// block. It is both the differential reference (bit-identical votes by
 // construction) and the baseline the fused layout is benchmarked against
 // in BENCH_serve.json.
 func (f *Fused) PredictNaiveInto(d *dataset.Dataset, out []int32, lo, hi int) {
@@ -584,9 +585,9 @@ func (f *Fused) PredictNaiveInto(d *dataset.Dataset, out []int32, lo, hi int) {
 	}
 	if f.Weights == nil {
 		votes := make([]int64, n*classes)
-		for _, m := range f.Members {
+		for _, root := range f.Roots {
 			for r := lo; r < hi; r++ {
-				votes[(r-lo)*classes+int(m.Predict(d, r))]++
+				votes[(r-lo)*classes+int(f.classOf(d, r, root))]++
 			}
 		}
 		for r := lo; r < hi; r++ {
@@ -595,10 +596,10 @@ func (f *Fused) PredictNaiveInto(d *dataset.Dataset, out []int32, lo, hi int) {
 		return
 	}
 	votes := make([]float64, n*classes)
-	for t, m := range f.Members {
+	for t, root := range f.Roots {
 		w := f.Weights[t]
 		for r := lo; r < hi; r++ {
-			votes[(r-lo)*classes+int(m.Predict(d, r))] += w
+			votes[(r-lo)*classes+int(f.classOf(d, r, root))] += w
 		}
 	}
 	for r := lo; r < hi; r++ {

@@ -1,12 +1,11 @@
-// Package predict is the batched inference engine over compiled models —
-// single flat trees (internal/flat) and fused forests (internal/forest),
-// abstracted as Predictors. A Pool owns a fixed set of worker goroutines —
-// one per available CPU by default — that serve row shards; an Engine
-// binds a Pool to one Predictor and exposes PredictBatch, which shards a
-// columnar batch across the workers. Pools are model-agnostic and
-// long-lived, so hot-swapping a model (the serving registry does this)
-// creates a fresh Engine without tearing down or leaking worker
-// goroutines.
+// Package predict is the batched inference engine over compiled models:
+// fused forests (internal/forest), a single tree being a 1-tree forest.
+// A Pool owns a fixed set of worker goroutines — one per available CPU
+// by default — that serve row shards; an Engine binds a Pool to one
+// compiled model and exposes PredictBatch, which shards a columnar batch
+// across the workers. Pools are model-agnostic and long-lived, so
+// hot-swapping a model (the serving registry does this) creates a fresh
+// Engine without tearing down or leaking worker goroutines.
 //
 // Both Pool and Engine keep always-on counters (batches, rows, busy and
 // wall nanoseconds) in the spirit of the training-side observability
@@ -22,25 +21,16 @@ import (
 	"time"
 
 	"partree/internal/dataset"
-	"partree/internal/flat"
+	"partree/internal/forest"
 )
 
 // minShard is the smallest number of rows worth dispatching to a worker;
 // below it the per-shard synchronization dominates the row loop.
 const minShard = 256
 
-// Predictor is anything that classifies a contiguous row range of a
-// columnar batch — a single compiled tree (*flat.Model) or a fused forest
-// (*forest.Fused). The engine shards batches over Predictors without
-// knowing which; PredictInto must be safe for concurrent calls on
-// disjoint [lo, hi) ranges.
-type Predictor interface {
-	PredictInto(d *dataset.Dataset, out []int32, lo, hi int)
-}
-
 // task is one contiguous row shard of one batch.
 type task struct {
-	pred   Predictor
+	fz     *forest.Fused
 	d      *dataset.Dataset
 	out    []int32
 	lo, hi int
@@ -78,7 +68,7 @@ func (p *Pool) work() {
 	defer p.wg.Done()
 	for t := range p.tasks {
 		start := time.Now()
-		t.pred.PredictInto(t.d, t.out, t.lo, t.hi)
+		t.fz.PredictInto(t.d, t.out, t.lo, t.hi)
 		p.busyNS.Add(time.Since(start).Nanoseconds())
 		t.done.Done()
 	}
@@ -124,39 +114,25 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// Engine binds a Pool to one Predictor — a compiled tree or a fused
-// forest. Engines are cheap: a hot-swap builds a new Engine on the shared
-// Pool. Safe for concurrent PredictBatch calls.
+// Engine binds a Pool to one compiled model. Engines are cheap: a
+// hot-swap builds a new Engine on the shared Pool. Safe for concurrent
+// PredictBatch calls.
 type Engine struct {
-	pool   *Pool
-	pred   Predictor
-	schema *dataset.Schema
+	pool *Pool
+	fz   *forest.Fused
 
 	batches atomic.Int64
 	rows    atomic.Int64
 	wallNS  atomic.Int64
 }
 
-// NewEngine returns an engine serving the compiled tree m on pool p.
-func NewEngine(p *Pool, m *flat.Model) *Engine {
-	if m == nil {
-		panic("predict: NewEngine requires a model")
+// NewEngine returns an engine serving the compiled model fz on pool p.
+func NewEngine(p *Pool, fz *forest.Fused) *Engine {
+	if p == nil || fz == nil {
+		panic("predict: NewEngine requires a pool and a compiled model")
 	}
-	return NewBatchEngine(p, m, m.Schema)
+	return &Engine{pool: p, fz: fz}
 }
-
-// NewBatchEngine returns an engine sharding batches over pred, which
-// classifies data laid out under schema. The forest serving path uses
-// this with a *forest.Fused predictor.
-func NewBatchEngine(p *Pool, pred Predictor, schema *dataset.Schema) *Engine {
-	if p == nil || pred == nil || schema == nil {
-		panic("predict: NewBatchEngine requires a pool, a predictor and a schema")
-	}
-	return &Engine{pool: p, pred: pred, schema: schema}
-}
-
-// Schema returns the schema the engine's predictor routes on.
-func (e *Engine) Schema() *dataset.Schema { return e.schema }
 
 // PredictBatch classifies every row of d into out (len(out) must be at
 // least d.Len()), sharding the rows across the pool's workers. The
@@ -167,7 +143,7 @@ func (e *Engine) PredictBatch(d *dataset.Dataset, out []int32) error {
 	if len(out) < n {
 		return fmt.Errorf("predict: output buffer holds %d rows, batch has %d", len(out), n)
 	}
-	if err := compatibleSchemas(e.schema, d.Schema); err != nil {
+	if err := compatibleSchemas(e.fz.Schema, d.Schema); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -176,14 +152,14 @@ func (e *Engine) PredictBatch(d *dataset.Dataset, out []int32) error {
 		shards = max
 	}
 	if shards <= 1 {
-		e.pred.PredictInto(d, out, 0, n)
+		e.fz.PredictInto(d, out, 0, n)
 	} else {
 		var done sync.WaitGroup
 		done.Add(shards)
 		for s := 0; s < shards; s++ {
 			lo := s * n / shards
 			hi := (s + 1) * n / shards
-			e.pool.tasks <- task{pred: e.pred, d: d, out: out, lo: lo, hi: hi, done: &done}
+			e.pool.tasks <- task{fz: e.fz, d: d, out: out, lo: lo, hi: hi, done: &done}
 		}
 		done.Wait()
 	}

@@ -51,8 +51,8 @@ func TestServeForestModel(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	e := srv.Registry().Get("grove")
-	if e.Kind() != "forest" || e.Trees() != 5 || e.Forest == nil || e.Model != nil {
-		t.Fatalf("forest entry malformed: kind=%s trees=%d", e.Kind(), e.Trees())
+	if e.Kind != "forest" || e.Model.Trees() != 5 {
+		t.Fatalf("forest entry malformed: kind=%s trees=%d", e.Kind, e.Model.Trees())
 	}
 
 	d, err := quest.Generate(quest.Config{Function: 2, Seed: 31}, 300)
@@ -79,7 +79,7 @@ func TestServeForestModel(t *testing.T) {
 	// Server answers must equal the fused forest evaluated directly on the
 	// same rows (decode round trip: records went name->value->name).
 	for i := 0; i < 200; i++ {
-		if want := e.Forest.Predict(d, i); pr.ClassIDs[i] != want {
+		if want := e.Model.Predict(d, i); pr.ClassIDs[i] != want {
 			t.Fatalf("record %d: server predicts %d, fused forest %d", i, pr.ClassIDs[i], want)
 		}
 	}
@@ -99,8 +99,8 @@ func TestServeForestModel(t *testing.T) {
 		t.Fatalf("swap status %d: %s", sresp.StatusCode, body)
 	}
 	e2 := srv.Registry().Get("grove")
-	if e2.Generation != 2 || e2.Trees() != 7 {
-		t.Fatalf("swap did not take: gen=%d trees=%d", e2.Generation, e2.Trees())
+	if e2.Generation != 2 || e2.Model.Trees() != 7 {
+		t.Fatalf("swap did not take: gen=%d trees=%d", e2.Generation, e2.Model.Trees())
 	}
 
 	// Metrics expose the latency histogram and the per-model forest shape.
@@ -135,7 +135,7 @@ func TestLoadRejectsCorruptForest(t *testing.T) {
 	if _, err := srv.Registry().Load("grove", bytes.NewReader(bad)); err == nil {
 		t.Fatal("corrupt forest accepted")
 	}
-	if e := srv.Registry().Get("grove"); e == nil || e.Generation != 1 || e.Trees() != 3 {
+	if e := srv.Registry().Get("grove"); e == nil || e.Generation != 1 || e.Model.Trees() != 3 {
 		t.Fatal("corrupt load disturbed the serving entry")
 	}
 }

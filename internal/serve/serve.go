@@ -4,9 +4,9 @@
 // reproduction into the north-star serving system — load a tree-JSON
 // model trained by cmd/dtree or a forest-JSON ensemble, POST record
 // batches at it, swap in a retrained model under live traffic without
-// dropping a request. Uploaded bodies are routed on their "format" field:
-// tree files compile to a *flat.Model, forest files to the fused
-// *forest.Fused layout, and both serve through the same engine.
+// dropping a request. Uploaded bodies are routed on their "format" field
+// to the tree or forest reader; both compile to the fused *forest.Fused
+// layout (a tree as a 1-tree forest) and serve through the same engine.
 //
 // Endpoints (cmd/dtserve wires them to a listener):
 //
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"partree/internal/dataset"
-	"partree/internal/flat"
 	"partree/internal/forest"
 	"partree/internal/predict"
 	"partree/internal/tree"
@@ -74,57 +73,18 @@ func (e *BreakerOpenError) Is(target error) bool { return target == ErrBreakerOp
 var ErrDrainTimeout = errors.New("serve: shutdown drain timed out; remaining connections force-closed")
 
 // Entry is one registered model: the compiled form plus the engine
-// serving it. Exactly one of Model (a single tree) and Forest (a fused
-// ensemble) is non-nil. Entries are immutable after registration; a
-// hot-swap replaces the whole entry, so in-flight requests holding the
-// old one finish against a consistent model.
+// serving it. Entries are immutable after registration; a hot-swap
+// replaces the whole entry, so in-flight requests holding the old one
+// finish against a consistent model.
 type Entry struct {
-	Name       string
-	Model      *flat.Model   // single compiled tree, or nil
-	Forest     *forest.Fused // fused forest, or nil
+	Name string
+	// Kind is "tree" or "forest", after the uploaded file's format; a
+	// tree compiles and serves as a 1-tree forest.
+	Kind       string
+	Model      *forest.Fused
 	Engine     *predict.Engine
 	Generation int // 1 on first load, +1 per swap
 	LoadedAt   time.Time
-}
-
-// Kind returns "tree" or "forest".
-func (e *Entry) Kind() string {
-	if e.Forest != nil {
-		return "forest"
-	}
-	return "tree"
-}
-
-// Schema returns the schema the entry routes on.
-func (e *Entry) Schema() *dataset.Schema {
-	if e.Forest != nil {
-		return e.Forest.Schema
-	}
-	return e.Model.Schema
-}
-
-// Trees returns the member count (1 for a single tree).
-func (e *Entry) Trees() int {
-	if e.Forest != nil {
-		return e.Forest.Trees()
-	}
-	return 1
-}
-
-// Nodes returns the total compiled node count.
-func (e *Entry) Nodes() int {
-	if e.Forest != nil {
-		return e.Forest.Nodes()
-	}
-	return e.Model.Len()
-}
-
-// Leaves returns the total compiled leaf count.
-func (e *Entry) Leaves() int {
-	if e.Forest != nil {
-		return e.Forest.Leaves()
-	}
-	return e.Model.Leaves()
 }
 
 // breaker tracks consecutive load failures for one model name. While
@@ -276,34 +236,28 @@ func (g *Registry) compile(name string, r io.Reader) (*Entry, error) {
 	// A sniff failure falls through with Format "" — the tree reader then
 	// reports the malformed document with its own diagnostics.
 	_ = json.Unmarshal(body, &env)
+	var f *forest.Forest
+	kind := "tree"
 	if env.Format == forest.ModelFormat {
-		fr, err := forest.ReadJSON(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("serve: loading model %q: %w", name, err)
-		}
-		fz, err := forest.Compile(fr)
-		if err != nil {
-			return nil, fmt.Errorf("serve: compiling model %q: %w", name, err)
-		}
-		return &Entry{
-			Name:     name,
-			Forest:   fz,
-			Engine:   predict.NewBatchEngine(g.pool, fz, fz.Schema),
-			LoadedAt: time.Now(),
-		}, nil
+		kind = "forest"
+		f, err = forest.ReadJSON(bytes.NewReader(body))
+	} else {
+		var t *tree.Tree
+		t, err = tree.ReadJSON(bytes.NewReader(body))
+		f = &forest.Forest{Trees: []*tree.Tree{t}}
 	}
-	t, err := tree.ReadJSON(bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading model %q: %w", name, err)
 	}
-	m, err := flat.Compile(t)
+	fz, err := forest.Compile(f)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compiling model %q: %w", name, err)
 	}
 	return &Entry{
 		Name:     name,
-		Model:    m,
-		Engine:   predict.NewEngine(g.pool, m),
+		Kind:     kind,
+		Model:    fz,
+		Engine:   predict.NewEngine(g.pool, fz),
 		LoadedAt: time.Now(),
 	}, nil
 }
@@ -603,7 +557,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	batch, err := decodeRecords(e.Schema(), req.Records)
+	batch, err := decodeRecords(e.Model.Schema, req.Records)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -624,7 +578,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		LatencyMS:  ms,
 	}
 	for i, c := range out {
-		resp.Labels[i] = e.Schema().Classes[c]
+		resp.Labels[i] = e.Model.Schema.Classes[c]
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -683,13 +637,13 @@ func modelInfo(e *Entry) map[string]interface{} {
 	st := e.Engine.Stats()
 	return map[string]interface{}{
 		"name":       e.Name,
-		"kind":       e.Kind(),
+		"kind":       e.Kind,
 		"generation": e.Generation,
 		"loaded_at":  e.LoadedAt.UTC().Format(time.RFC3339Nano),
-		"trees":      e.Trees(),
-		"nodes":      e.Nodes(),
-		"leaves":     e.Leaves(),
-		"classes":    e.Schema().Classes,
+		"trees":      e.Model.Trees(),
+		"nodes":      e.Model.Nodes(),
+		"leaves":     e.Model.Leaves(),
+		"classes":    e.Model.Schema.Classes,
 		"batches":    st.Batches,
 		"rows":       st.Rows,
 	}
@@ -744,9 +698,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, e := range s.registry.List() {
 		st := e.Engine.Stats()
 		fmt.Fprintf(&b, "dtserve_model_generation{model=%q} %d\n", e.Name, e.Generation)
-		fmt.Fprintf(&b, "dtserve_model_kind{model=%q,kind=%q} 1\n", e.Name, e.Kind())
-		fmt.Fprintf(&b, "dtserve_model_trees{model=%q} %d\n", e.Name, e.Trees())
-		fmt.Fprintf(&b, "dtserve_model_nodes{model=%q} %d\n", e.Name, e.Nodes())
+		fmt.Fprintf(&b, "dtserve_model_kind{model=%q,kind=%q} 1\n", e.Name, e.Kind)
+		fmt.Fprintf(&b, "dtserve_model_trees{model=%q} %d\n", e.Name, e.Model.Trees())
+		fmt.Fprintf(&b, "dtserve_model_nodes{model=%q} %d\n", e.Name, e.Model.Nodes())
 		fmt.Fprintf(&b, "dtserve_model_batches_total{model=%q} %d\n", e.Name, st.Batches)
 		fmt.Fprintf(&b, "dtserve_model_rows_total{model=%q} %d\n", e.Name, st.Rows)
 		fmt.Fprintf(&b, "dtserve_model_wall_seconds_total{model=%q} %g\n", e.Name, float64(st.WallNS)/1e9)

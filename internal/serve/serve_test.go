@@ -104,12 +104,19 @@ func TestPredictEndpoint(t *testing.T) {
 	if pr.N != 100 || len(pr.Labels) != 100 || len(pr.ClassIDs) != 100 {
 		t.Fatalf("malformed reply: %+v", pr)
 	}
-	// Predictions must match the registered model evaluated directly.
+	// Predictions must match the pointer walk of the same model file.
 	e := srv.Registry().Get("quest")
+	if e.Kind != "tree" || e.Model.Trees() != 1 {
+		t.Fatalf("tree entry malformed: kind=%s trees=%d", e.Kind, e.Model.Trees())
+	}
+	tr, err := tree.ReadJSON(bytes.NewReader(modelJSON(t, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 100; i++ {
 		rec := d.Row(i)
-		if want := e.Model.PredictRecord(&rec); pr.ClassIDs[i] != want {
-			t.Fatalf("record %d: server predicts %d, model %d", i, pr.ClassIDs[i], want)
+		if want := tr.Classify(&rec); pr.ClassIDs[i] != want {
+			t.Fatalf("record %d: server predicts %d, pointer walk %d", i, pr.ClassIDs[i], want)
 		}
 		if pr.Labels[i] != e.Model.Schema.Classes[pr.ClassIDs[i]] {
 			t.Fatalf("record %d: label %q does not match class id %d", i, pr.Labels[i], pr.ClassIDs[i])

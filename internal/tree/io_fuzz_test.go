@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"partree/internal/dataset"
-	"partree/internal/flat"
+	"partree/internal/forest"
 	"partree/internal/tree"
 )
 
@@ -28,7 +28,8 @@ func weatherModelJSON(tb testing.TB, binary bool) []byte {
 // loads operator-supplied model files through this path, so the
 // invariant is: ReadJSON either returns a descriptive error or a tree
 // that is fully usable — classifiable, re-encodable, and compilable to
-// the flat serving form — without panicking.
+// the fused serving form (a 1-tree forest) whose batch and single-row
+// walks agree with the pointer walk — without panicking.
 func FuzzReadJSON(f *testing.F) {
 	valid := weatherModelJSON(f, true)
 	f.Add(valid)
@@ -59,12 +60,16 @@ func FuzzReadJSON(f *testing.F) {
 		if err := tree.WriteJSON(&buf, tr); err != nil {
 			t.Fatalf("re-encoding a loaded model failed: %v", err)
 		}
-		m, err := flat.Compile(tr)
+		fz, err := forest.Compile(&forest.Forest{Trees: []*tree.Tree{tr}})
 		if err != nil {
 			t.Fatalf("compiling a loaded model failed: %v", err)
 		}
-		if got, want := m.PredictRecord(&rec), tr.Classify(&rec); got != want {
-			t.Fatalf("flat predicts %d, pointer tree %d", got, want)
+		d := dataset.New(tr.Schema, 1)
+		d.Append(rec)
+		var out [1]int32
+		fz.PredictInto(d, out[:], 0, 1)
+		if want := tr.Classify(&rec); out[0] != want || fz.Predict(d, 0) != want {
+			t.Fatalf("fused predicts %d (single row %d), pointer tree %d", out[0], fz.Predict(d, 0), want)
 		}
 	})
 }
