@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -386,53 +387,57 @@ func slots(n *tree.Node) int {
 func TestFusedLayout(t *testing.T) {
 	d := testData(t, 900)
 	for _, trees := range []int{5, 1} {
-		f, err := Train(d, Config{Trees: trees, Seed: 11, Bootstrap: true, Tree: tree.Options{Binary: true, MaxDepth: 6}})
-		if err != nil {
-			t.Fatal(err)
+		t.Run(fmt.Sprintf("trees=%d", trees), func(t *testing.T) { checkFusedLayout(t, d, trees) })
+	}
+}
+
+func checkFusedLayout(t *testing.T, d *dataset.Dataset, trees int) {
+	f, err := Train(d, Config{Trees: trees, Seed: 11, Bootstrap: true, Tree: tree.Options{Binary: true, MaxDepth: 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, m := range f.Trees {
+		total += slots(m.Root)
+	}
+	if fz.Nodes() != total {
+		t.Fatalf("trees=%d: fused %d nodes, members compile to %d", trees, fz.Nodes(), total)
+	}
+	depth := make([]int32, fz.Nodes())
+	member := make([]int, fz.Nodes())
+	for tr, root := range fz.Roots {
+		if root != int32(tr) {
+			t.Fatalf("member %d root at fused index %d", tr, root)
 		}
-		fz, err := Compile(f)
-		if err != nil {
-			t.Fatal(err)
+		member[root] = tr
+	}
+	maxDepth := make([]int32, trees)
+	for i := range fz.Kind {
+		if i > 0 && depth[i] < depth[i-1] {
+			t.Fatalf("trees=%d: node %d at depth %d follows depth %d: not level-major", trees, i, depth[i], depth[i-1])
 		}
-		total := 0
-		for _, m := range f.Trees {
-			total += slots(m.Root)
+		maxDepth[member[i]] = max(maxDepth[member[i]], depth[i])
+		if fz.Kind[i] == tree.Leaf {
+			if fz.ChildBase[i] != -1 || fz.NumChild[i] != 0 {
+				t.Fatalf("leaf %d has child base %d and %d children", i, fz.ChildBase[i], fz.NumChild[i])
+			}
+			continue
 		}
-		if fz.Nodes() != total {
-			t.Fatalf("trees=%d: fused %d nodes, members compile to %d", trees, fz.Nodes(), total)
+		cb, nc := fz.ChildBase[i], fz.NumChild[i]
+		if nc <= 0 || cb <= int32(i) || int(cb+nc) > fz.Nodes() {
+			t.Fatalf("node %d children [%d, %d) out of range", i, cb, cb+nc)
 		}
-		depth := make([]int32, fz.Nodes())
-		member := make([]int, fz.Nodes())
-		for tr, root := range fz.Roots {
-			if root != int32(tr) {
-				t.Fatalf("member %d root at fused index %d", tr, root)
-			}
-			member[root] = tr
+		for c := cb; c < cb+nc; c++ {
+			depth[c], member[c] = depth[i]+1, member[i]
 		}
-		maxDepth := make([]int32, trees)
-		for i := range fz.Kind {
-			if i > 0 && depth[i] < depth[i-1] {
-				t.Fatalf("trees=%d: node %d at depth %d follows depth %d: not level-major", trees, i, depth[i], depth[i-1])
-			}
-			maxDepth[member[i]] = max(maxDepth[member[i]], depth[i])
-			if fz.Kind[i] == tree.Leaf {
-				if fz.ChildBase[i] != -1 || fz.NumChild[i] != 0 {
-					t.Fatalf("leaf %d has child base %d and %d children", i, fz.ChildBase[i], fz.NumChild[i])
-				}
-				continue
-			}
-			cb, nc := fz.ChildBase[i], fz.NumChild[i]
-			if nc <= 0 || cb <= int32(i) || int(cb+nc) > fz.Nodes() {
-				t.Fatalf("node %d children [%d, %d) out of range", i, cb, cb+nc)
-			}
-			for c := cb; c < cb+nc; c++ {
-				depth[c], member[c] = depth[i]+1, member[i]
-			}
-		}
-		for tr := range maxDepth {
-			if fz.Depths[tr] != maxDepth[tr] {
-				t.Fatalf("trees=%d: member %d Depths %d, deepest node at %d", trees, tr, fz.Depths[tr], maxDepth[tr])
-			}
+	}
+	for tr := range maxDepth {
+		if fz.Depths[tr] != maxDepth[tr] {
+			t.Fatalf("trees=%d: member %d Depths %d, deepest node at %d", trees, tr, fz.Depths[tr], maxDepth[tr])
 		}
 	}
 }
